@@ -53,14 +53,14 @@ func run() error {
 	served := map[string]int{}
 	submit := func(id int) {
 		balancer.Dispatch(lb.RequestInfo{RequestBytes: 300, ResponseBytes: 8 << 10},
-			func(c *lb.Candidate, done func()) {
+			func(c *lb.Candidate, tk lb.Ticket) {
 				finish := serviceTime[c.Name()]
 				if c.Name() == "app1" && eng.Now() < app1StallUntil {
 					finish += app1StallUntil - eng.Now() // frozen until the stall lifts
 				}
 				eng.Schedule(finish, func() {
 					served[c.Name()]++
-					done()
+					tk.Done()
 				})
 			},
 			func() {

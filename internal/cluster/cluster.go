@@ -118,7 +118,7 @@ type Cluster struct {
 	cfg        Config
 	group      *workload.Group
 	openLoop   *workload.OpenLoop
-	retrans    *netmodel.Retransmitter
+	retrans    *netmodel.Retransmitter[*workload.Request]
 	rec        *metrics.ResponseRecorder
 	poller     *metrics.Poller
 	accessLog  *trace.Log
@@ -209,7 +209,7 @@ func New(cfg Config) *Cluster {
 		}, c.Apps))
 	}
 
-	c.retrans = netmodel.NewRetransmitter(eng, cfg.Retransmit)
+	c.retrans = netmodel.NewRetransmitter(eng, cfg.Retransmit, c.tryAccept, c.giveUp)
 	c.rec = metrics.NewResponseRecorderHorizon(cfg.Duration)
 	if cfg.TraceCapacity > 0 {
 		c.accessLog = trace.NewLog(cfg.TraceCapacity)
@@ -299,24 +299,27 @@ func (c *Cluster) webFor(clientID int) *server.Web {
 
 // submit carries a request over the lossy transport to its web server.
 func (c *Cluster) submit(req *workload.Request) {
-	web := c.webFor(req.ClientID)
 	req.Span = c.tracer.Start(req.ID, c.Eng.Now())
-	c.retrans.SendSpan(req.Span,
-		func() bool {
-			if web.TryAccept(req) {
-				return true
-			}
-			req.Retransmits++
-			return false
-		},
-		func() {
-			c.giveUps++
-			req.Finish(workload.Outcome{
-				OK:           false,
-				ResponseTime: c.Eng.Now() - req.IssuedAt,
-				Retransmits:  req.Retransmits,
-			})
-		})
+	c.retrans.Send(req, req.Span)
+}
+
+// tryAccept is one connection attempt of a request at its web server.
+func (c *Cluster) tryAccept(req *workload.Request) bool {
+	if c.webFor(req.ClientID).TryAccept(req) {
+		return true
+	}
+	req.Retransmits++
+	return false
+}
+
+// giveUp fails a request whose retransmission schedule is exhausted.
+func (c *Cluster) giveUp(req *workload.Request) {
+	c.giveUps++
+	req.Finish(workload.Outcome{
+		OK:           false,
+		ResponseTime: c.Eng.Now() - req.IssuedAt,
+		Retransmits:  req.Retransmits,
+	})
 }
 
 // instrument wires every sampler and hook. Every windowed series is

@@ -122,9 +122,9 @@ func TestRecommendedBalancerDispatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	dispatched := 0
-	b.Dispatch(lb.RequestInfo{}, func(_ *lb.Candidate, done func()) {
+	b.Dispatch(lb.RequestInfo{}, func(_ *lb.Candidate, tk lb.Ticket) {
 		dispatched++
-		done()
+		tk.Done()
 	}, func() { t.Fatal("rejected") })
 	if dispatched != 1 {
 		t.Fatalf("dispatched = %d", dispatched)

@@ -22,9 +22,9 @@ func ExampleNewRecommended() {
 	// Dispatch two requests; the fake backends respond after 1ms.
 	for i := 0; i < 2; i++ {
 		balancer.Dispatch(lb.RequestInfo{},
-			func(c *lb.Candidate, done func()) {
+			func(c *lb.Candidate, tk lb.Ticket) {
 				fmt.Println("dispatched to", c.Name())
-				eng.Schedule(time.Millisecond, done)
+				eng.Schedule(time.Millisecond, tk.Done)
 			},
 			func() { fmt.Println("rejected") })
 	}

@@ -99,12 +99,67 @@ type Balancer struct {
 	// policies, reused across dispatches to keep the ranking loop
 	// allocation-free.
 	scratch []*Candidate
+	// free holds retired dispatch records.
+	free sim.FreeList[dispatch]
+}
+
+// dispatch is one request's passage through the balancer, from Dispatch
+// until its Ticket is done or the request is rejected: the caller's
+// callbacks, the sweep and the candidates it already failed on, the
+// candidate under acquisition (later the one dispatched to) and the
+// mechanism's poll state. Records are owned by their balancer and
+// recycled after the last event that touches them; the callbacks they
+// hand to the mechanism and the engine are bound once when the record
+// is created, so a dispatch allocates nothing in steady state. The
+// generation counter invalidates every Ticket when the record retires.
+type dispatch struct {
+	b      *Balancer
+	info   RequestInfo
+	send   func(*Candidate, Ticket)
+	reject func()
+	tried  triedSet
+	sweep  int
+	cand   *Candidate
+	gen    uint64
+
+	// poller and polls are OriginalGetEndpoint's loop state: the
+	// mechanism that started the acquisition (a runtime swap must not
+	// change it mid-poll) and its retry counter.
+	poller *OriginalGetEndpoint
+	polls  int
+
+	// acquired receives the mechanism's verdict; resweep and repoll are
+	// the engine callbacks for the inter-sweep pause and the poll sleep.
+	acquired func(ok bool)
+	resweep  func()
+	repoll   func()
+}
+
+// Ticket is the completion handle Dispatch hands to send: a small
+// generation-checked value, safe to copy. The caller invokes Done
+// exactly once when the backend's response returns. Done retires the
+// dispatch record, so a second Done — or a Done through a copy whose
+// record has since been recycled into a later dispatch — panics instead
+// of completing someone else's request. The zero Ticket completes
+// nothing; its Done panics too.
+type Ticket struct {
+	d   *dispatch
+	gen uint64
+}
+
+// Done completes the dispatched request: it frees the endpoint, runs
+// the policy's completion bookkeeping and readmits the candidate.
+func (t Ticket) Done() {
+	if t.d == nil || t.d.gen != t.gen {
+		panic("lb: request completion invoked twice")
+	}
+	t.d.b.complete(t.d)
 }
 
 // triedSet tracks the candidates a dispatch already failed on. Candidate
 // sets are tiny (the paper's testbed has four application servers), so a
-// slice with a linear scan beats a map and costs at most one allocation
-// per failing dispatch instead of one per map insert.
+// slice with a linear scan beats a map; each dispatch record keeps its
+// own backing array across reuses.
 type triedSet []*Candidate
 
 func (t triedSet) has(c *Candidate) bool {
@@ -228,81 +283,112 @@ func (b *Balancer) AppendSnapshot(dst []Snapshot) []Snapshot {
 }
 
 // Dispatch picks a candidate, acquires an endpoint through the mechanism
-// and calls send(c, done) with the chosen candidate; the caller forwards
-// the request and must invoke done exactly once when the response
+// and calls send(c, t) with the chosen candidate; the caller forwards
+// the request and must call t.Done exactly once when the response
 // returns. When every attempt fails, reject runs instead. The caller's
 // worker thread is considered occupied until send or reject fires —
 // exactly the occupancy that lets the original mechanism propagate queue
 // amplification into the web tier.
-func (b *Balancer) Dispatch(info RequestInfo, send func(c *Candidate, done func()), reject func()) {
+func (b *Balancer) Dispatch(info RequestInfo, send func(c *Candidate, t Ticket), reject func()) {
 	if send == nil || reject == nil {
 		panic("lb: Dispatch with nil callback")
 	}
 	info.Span.Enter(obs.StageGetEndpoint, b.eng.Now())
-	b.attempt(info, send, reject, nil, 1)
+	d := b.newDispatch()
+	d.info, d.send, d.reject, d.sweep = info, send, reject, 1
+	b.attempt(d)
 }
 
-func (b *Balancer) attempt(info RequestInfo, send func(*Candidate, func()), reject func(), tried triedSet, sweep int) {
-	c := b.sessionCandidate(info.SessionID, tried)
+// newDispatch takes a record from the free list, or makes one and binds
+// its callbacks.
+func (b *Balancer) newDispatch() *dispatch {
+	if d := b.free.Get(); d != nil {
+		return d
+	}
+	d := &dispatch{b: b, tried: make(triedSet, 0, len(b.cands))}
+	d.acquired = d.onAcquired
+	d.resweep = d.onResweep
+	d.repoll = d.onRepoll
+	return d
+}
+
+// retire returns a finished record to the free list. Bumping the
+// generation kills every outstanding Ticket first.
+func (b *Balancer) retire(d *dispatch) {
+	d.gen++
+	d.info, d.send, d.reject, d.cand, d.poller = RequestInfo{}, nil, nil, nil, nil
+	d.tried = d.tried[:0]
+	b.free.Put(d)
+}
+
+func (b *Balancer) attempt(d *dispatch) {
+	c := b.sessionCandidate(d.info.SessionID, d.tried)
 	if c == nil {
-		c = b.choose(tried)
+		c = b.choose(d.tried)
 	}
 	if c == nil {
-		b.nextSweep(info, send, reject, sweep)
+		b.nextSweep(d)
 		return
 	}
 	if b.onAssign != nil {
 		b.onAssign(c)
 	}
-	b.mech.Acquire(c, func(ok bool) {
-		if !ok {
-			if c.probeArmed {
-				// The armed probe could not even get an endpoint: report a
-				// failed probe instead of dispatching it elsewhere.
-				c.probeArmed = false
-				if b.onProbe != nil {
-					b.onProbe(c, 0, false)
-				}
+	d.cand = c
+	b.mech.acquire(d)
+}
+
+// onAcquired receives the mechanism's verdict on d.cand.
+func (d *dispatch) onAcquired(ok bool) {
+	b, c := d.b, d.cand
+	if !ok {
+		if c.probeArmed {
+			// The armed probe could not even get an endpoint: report a
+			// failed probe instead of dispatching it elsewhere.
+			c.probeArmed = false
+			if b.onProbe != nil {
+				b.onProbe(c, 0, false)
 			}
-			b.noteFailure(c)
-			if tried == nil {
-				tried = make(triedSet, 0, len(b.cands))
-			}
-			tried = append(tried, c)
-			if len(tried) >= b.cfg.MaxAttempts {
-				b.nextSweep(info, send, reject, sweep)
-				return
-			}
-			b.attempt(info, send, reject, tried, sweep)
+		}
+		b.noteFailure(c)
+		d.tried = append(d.tried, c)
+		if len(d.tried) >= b.cfg.MaxAttempts {
+			b.nextSweep(d)
 			return
 		}
-		b.dispatchTo(c, info, send)
-	})
+		b.attempt(d)
+		return
+	}
+	b.dispatchTo(d)
 }
 
 // nextSweep pauses and re-sweeps the full candidate set, or rejects when
 // the sweep budget is spent.
-func (b *Balancer) nextSweep(info RequestInfo, send func(*Candidate, func()), reject func(), sweep int) {
-	if sweep >= b.cfg.Sweeps {
-		info.Span.Exit(obs.StageGetEndpoint, b.eng.Now())
-		b.doReject(reject)
+func (b *Balancer) nextSweep(d *dispatch) {
+	if d.sweep >= b.cfg.Sweeps {
+		d.info.Span.Exit(obs.StageGetEndpoint, b.eng.Now())
+		b.doReject(d)
 		return
 	}
-	b.eng.Schedule(b.cfg.SweepPause, func() {
-		b.attempt(info, send, reject, nil, sweep+1)
-	})
+	b.eng.Schedule(b.cfg.SweepPause, d.resweep)
 }
 
-func (b *Balancer) dispatchTo(c *Candidate, info RequestInfo, send func(*Candidate, func())) {
-	info.Span.Exit(obs.StageGetEndpoint, b.eng.Now())
+func (d *dispatch) onResweep() {
+	d.sweep++
+	d.tried = d.tried[:0]
+	d.b.attempt(d)
+}
+
+func (b *Balancer) dispatchTo(d *dispatch) {
+	c := d.cand
+	d.info.Span.Exit(obs.StageGetEndpoint, b.eng.Now())
 	c.consecFails = 0
 	if c.state != StateAvailable {
 		// Returning an endpoint proves the candidate responsive again.
 		b.setAvailable(c)
 	}
-	b.policy.OnDispatch(c, info)
+	b.policy.OnDispatch(c, d.info)
 	if b.cfg.StickySessions {
-		b.bindSession(info.SessionID, c)
+		b.bindSession(d.info.SessionID, c)
 	}
 	c.dispatched++
 	c.inFlight++
@@ -314,31 +400,34 @@ func (b *Balancer) dispatchTo(c *Candidate, info RequestInfo, send func(*Candida
 	if b.onDispatch != nil {
 		b.onDispatch(c)
 	}
-	finished := false
-	send(c, func() {
-		if finished {
-			panic("lb: request completion invoked twice")
-		}
-		finished = true
-		c.inFlight--
-		c.completed++
-		c.traffic += info.RequestBytes + info.ResponseBytes
-		b.policy.OnComplete(c, info)
-		c.releaseEndpoint()
-		c.consecFails = 0
-		if c.state != StateAvailable {
-			b.setAvailable(c)
-		}
-		if c.probing {
-			c.probing = false
-			if b.onProbe != nil {
-				b.onProbe(c, b.eng.Now()-c.probeStart, true)
-			}
-		}
-	})
+	d.send(c, Ticket{d: d, gen: d.gen})
 }
 
-func (b *Balancer) doReject(reject func()) {
+// complete is Ticket.Done's body: the dispatched request's response has
+// returned.
+func (b *Balancer) complete(d *dispatch) {
+	c, info := d.cand, d.info
+	b.retire(d)
+	c.inFlight--
+	c.completed++
+	c.traffic += info.RequestBytes + info.ResponseBytes
+	b.policy.OnComplete(c, info)
+	c.releaseEndpoint()
+	c.consecFails = 0
+	if c.state != StateAvailable {
+		b.setAvailable(c)
+	}
+	if c.probing {
+		c.probing = false
+		if b.onProbe != nil {
+			b.onProbe(c, b.eng.Now()-c.probeStart, true)
+		}
+	}
+}
+
+func (b *Balancer) doReject(d *dispatch) {
+	reject := d.reject
+	b.retire(d)
 	b.rejects++
 	if b.onReject != nil {
 		b.onReject()

@@ -13,8 +13,8 @@ import (
 type harness struct {
 	eng *sim.Engine
 	bal *Balancer
-	// pending holds completion callbacks by candidate name.
-	pending map[string][]func()
+	// pending holds completion tickets by candidate name.
+	pending map[string][]Ticket
 	// dispatched counts by candidate name.
 	dispatched map[string]int
 	rejected   int
@@ -32,7 +32,7 @@ func newHarness(t *testing.T, policy Policy, mech Mechanism, endpoints int, name
 	}
 	h := &harness{
 		eng:        eng,
-		pending:    map[string][]func(){},
+		pending:    map[string][]Ticket{},
 		dispatched: map[string]int{},
 	}
 	// Single-sweep config keeps rejection behaviour synchronous for the
@@ -47,9 +47,9 @@ func newHarness(t *testing.T, policy Policy, mech Mechanism, endpoints int, name
 // calls completeOne.
 func (h *harness) submit(info RequestInfo) {
 	h.bal.Dispatch(info,
-		func(c *Candidate, done func()) {
+		func(c *Candidate, tk Ticket) {
 			h.dispatched[c.Name()]++
-			h.pending[c.Name()] = append(h.pending[c.Name()], done)
+			h.pending[c.Name()] = append(h.pending[c.Name()], tk)
 		},
 		func() { h.rejected++ })
 }
@@ -60,9 +60,9 @@ func (h *harness) completeOne(name string) {
 	if len(q) == 0 {
 		return
 	}
-	done := q[0]
+	tk := q[0]
 	h.pending[name] = q[1:]
-	done()
+	tk.Done()
 }
 
 func origMech(eng *sim.Engine) *OriginalGetEndpoint { return NewOriginalGetEndpoint(eng) }
@@ -193,13 +193,13 @@ func TestRejectWhenEverythingInError(t *testing.T) {
 		Config{ErrorThreshold: 2, ErrorAfter: time.Nanosecond, Sweeps: 1})
 	cands[0].tryEndpoint() // exhaust
 	rejected := 0
-	bal.Dispatch(RequestInfo{}, func(*Candidate, func()) {}, func() { rejected++ })
+	bal.Dispatch(RequestInfo{}, func(*Candidate, Ticket) {}, func() { rejected++ })
 	eng.Run(time.Millisecond) // give the failure span some width
-	bal.Dispatch(RequestInfo{}, func(*Candidate, func()) {}, func() { rejected++ })
+	bal.Dispatch(RequestInfo{}, func(*Candidate, Ticket) {}, func() { rejected++ })
 	if cands[0].State() != StateError {
 		t.Fatalf("state = %v, want error after persistent failures", cands[0].State())
 	}
-	bal.Dispatch(RequestInfo{}, func(*Candidate, func()) {}, func() { rejected++ })
+	bal.Dispatch(RequestInfo{}, func(*Candidate, Ticket) {}, func() { rejected++ })
 	if rejected != 3 {
 		t.Fatalf("rejected = %d, want 3", rejected)
 	}
@@ -232,7 +232,7 @@ func TestDoubleCompletionPanics(t *testing.T) {
 	cands := []*Candidate{NewCandidate("app1", sim.NewPool(2))}
 	bal := New(eng, TotalRequest{}, NewModifiedGetEndpoint(), cands, Config{})
 	var done func()
-	bal.Dispatch(RequestInfo{}, func(_ *Candidate, d func()) { done = d }, func() {})
+	bal.Dispatch(RequestInfo{}, func(_ *Candidate, tk Ticket) { done = tk.Done }, func() {})
 	done()
 	defer func() {
 		if recover() == nil {
@@ -293,10 +293,10 @@ func TestInstabilityPileUpWithOriginalMechanism(t *testing.T) {
 	dispatched := map[string]int{}
 	// The stalled backend never completes; the healthy one completes in
 	// 1ms of virtual time.
-	send := func(c *Candidate, done func()) {
+	send := func(c *Candidate, tk Ticket) {
 		dispatched[c.Name()]++
 		if c.Name() == "healthy" {
-			eng.Schedule(time.Millisecond, done)
+			eng.Schedule(time.Millisecond, tk.Done)
 		}
 	}
 	submit := func() { bal.Dispatch(RequestInfo{}, send, func() {}) }
@@ -342,11 +342,11 @@ func TestModifiedMechanismAvoidsPileUp(t *testing.T) {
 
 	dispatched := map[string]int{}
 	var healthyLatency []sim.Time
-	send := func(c *Candidate, done func()) {
+	send := func(c *Candidate, tk Ticket) {
 		dispatched[c.Name()]++
 		if c.Name() == "healthy" {
 			healthyLatency = append(healthyLatency, eng.Now())
-			eng.Schedule(time.Millisecond, done)
+			eng.Schedule(time.Millisecond, tk.Done)
 		}
 	}
 	for i := 0; i < 25; i++ {
@@ -383,10 +383,10 @@ func TestCurrentLoadAvoidsStalledCandidate(t *testing.T) {
 	bal := New(eng, CurrentLoad{}, NewOriginalGetEndpoint(eng), []*Candidate{stalled, healthy}, Config{})
 
 	dispatched := map[string]int{}
-	send := func(c *Candidate, done func()) {
+	send := func(c *Candidate, tk Ticket) {
 		dispatched[c.Name()]++
 		if c.Name() == "healthy" {
-			eng.Schedule(time.Millisecond, done)
+			eng.Schedule(time.Millisecond, tk.Done)
 		}
 	}
 	for i := 0; i < 50; i++ {
@@ -418,15 +418,15 @@ func TestSweepRetrySucceedsWhenCapacityFrees(t *testing.T) {
 		Config{Sweeps: 3, SweepPause: 100 * time.Millisecond})
 
 	var firstDone func()
-	bal.Dispatch(RequestInfo{}, func(_ *Candidate, done func()) { firstDone = done }, func() {})
+	bal.Dispatch(RequestInfo{}, func(_ *Candidate, tk Ticket) { firstDone = tk.Done }, func() {})
 
 	// Second dispatch finds the pool exhausted and must re-sweep.
 	var dispatchedAt sim.Time = -1
 	rejected := false
 	bal.Dispatch(RequestInfo{},
-		func(_ *Candidate, done func()) {
+		func(_ *Candidate, tk Ticket) {
 			dispatchedAt = eng.Now()
-			done()
+			tk.Done()
 		},
 		func() { rejected = true })
 	// Free the endpoint between sweep 1 and sweep 2.
@@ -448,7 +448,7 @@ func TestSweepBudgetExhaustedRejects(t *testing.T) {
 	bal := New(eng, TotalRequest{}, NewModifiedGetEndpoint(), cands,
 		Config{Sweeps: 3, SweepPause: 100 * time.Millisecond})
 	var rejectedAt sim.Time = -1
-	bal.Dispatch(RequestInfo{}, func(*Candidate, func()) {}, func() { rejectedAt = eng.Now() })
+	bal.Dispatch(RequestInfo{}, func(*Candidate, Ticket) {}, func() { rejectedAt = eng.Now() })
 	eng.Run(time.Second)
 	// Sweeps at 0, 100, 200ms all fail; rejection on the third sweep.
 	if rejectedAt != 200*time.Millisecond {
@@ -473,9 +473,9 @@ func TestQuickTotalRequestFairness(t *testing.T) {
 		bal := New(eng, TotalRequest{}, NewModifiedGetEndpoint(), cands, Config{Sweeps: 1})
 		counts := map[*Candidate]uint64{}
 		for range pattern {
-			bal.Dispatch(RequestInfo{}, func(c *Candidate, done func()) {
+			bal.Dispatch(RequestInfo{}, func(c *Candidate, tk Ticket) {
 				counts[c]++
-				done()
+				tk.Done()
 			}, func() { t.Error("reject in healthy cluster") })
 		}
 		var minC, maxC uint64

@@ -161,9 +161,9 @@ func TestChooserPolicyDrivesBalancerSelection(t *testing.T) {
 	bal := New(eng, RandomPolicy{}, NewModifiedGetEndpoint(), cands, Config{})
 	dispatched := map[string]int{}
 	for i := 0; i < 400; i++ {
-		bal.Dispatch(RequestInfo{}, func(c *Candidate, done func()) {
+		bal.Dispatch(RequestInfo{}, func(c *Candidate, tk Ticket) {
 			dispatched[c.Name()]++
-			done()
+			tk.Done()
 		}, func() { t.Fatal("rejected") })
 	}
 	if dispatched["a"] == 0 || dispatched["b"] == 0 {
@@ -180,10 +180,10 @@ func TestTwoChoicesAvoidsStalledUnderLoad(t *testing.T) {
 	healthy := NewCandidate("healthy", sim.NewPool(50))
 	bal := New(eng, TwoChoices{}, NewModifiedGetEndpoint(), []*Candidate{stalled, healthy}, Config{})
 	dispatched := map[string]int{}
-	send := func(c *Candidate, done func()) {
+	send := func(c *Candidate, tk Ticket) {
 		dispatched[c.Name()]++
 		if c.Name() == "healthy" {
-			eng.Schedule(time.Millisecond, done)
+			eng.Schedule(time.Millisecond, tk.Done)
 		}
 	}
 	for i := 0; i < 60; i++ {

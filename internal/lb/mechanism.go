@@ -12,13 +12,16 @@ import (
 // polling, and during that whole window it occupies the caller (a web
 // server worker thread) while the candidate's balancer state stays
 // untouched — the paper's mechanism-level limitation.
+//
+// The interface is sealed: a mechanism keeps its loop state in the
+// balancer's recycled dispatch record, so acquisitions allocate nothing.
 type Mechanism interface {
 	// Name identifies the mechanism in configs and reports.
 	Name() string
-	// Acquire attempts to take an endpoint from c and eventually calls
-	// done exactly once. On ok=true the endpoint is held; the caller
-	// must arrange its release through the balancer's completion path.
-	Acquire(c *Candidate, done func(ok bool))
+	// acquire attempts to take an endpoint from d.cand and eventually
+	// calls d.acquired exactly once. On ok=true the endpoint is held;
+	// its release runs through the balancer's completion path.
+	acquire(d *dispatch)
 }
 
 // Default timing constants from mod_jk: JK_SLEEP_DEF is 100 ms and
@@ -49,43 +52,48 @@ func NewOriginalGetEndpoint(eng *sim.Engine) *OriginalGetEndpoint {
 // Name implements Mechanism.
 func (*OriginalGetEndpoint) Name() string { return "original_get_endpoint" }
 
-// Acquire implements Mechanism.
-func (m *OriginalGetEndpoint) Acquire(c *Candidate, done func(ok bool)) {
+func (m *OriginalGetEndpoint) acquire(d *dispatch) {
+	d.poller, d.polls = m, 0
+	m.poll(d)
+}
+
+// poll is one iteration of Algorithm 1's loop; d.polls is its retry
+// counter.
+func (m *OriginalGetEndpoint) poll(d *dispatch) {
 	sleep := m.Sleep
 	if sleep <= 0 {
 		sleep = DefaultAcquireSleep
 	}
-	retry := 0
-	var attempt func()
-	attempt = func() {
-		// A candidate drained by the adaptive control plane mid-poll
-		// frees its waiters at the next sweep instead of holding the
-		// worker for the rest of the acquire timeout: quarantine means
-		// no endpoint is coming, and every blocked worker here is one
-		// less worker emptying the web accept queue (the paper's
-		// amplification path from one stalled server to tier-wide
-		// connection drops). Armed probes keep polling — measuring the
-		// drained candidate is their whole purpose. Without quarantine
-		// (static runs) this branch never triggers.
-		if c.quarantined && !c.probeArmed {
-			done(false)
-			return
-		}
-		// Loop guard mirrors Algorithm 1: while retry*JK_SLEEP_DEF <
-		// cache_acquire_timeout.
-		if sim.Time(retry)*sleep >= m.Timeout {
-			done(false)
-			return
-		}
-		if c.tryEndpoint() {
-			done(true)
-			return
-		}
-		retry++
-		m.eng.Schedule(sleep, attempt)
+	c := d.cand
+	// A candidate drained by the adaptive control plane mid-poll
+	// frees its waiters at the next sweep instead of holding the
+	// worker for the rest of the acquire timeout: quarantine means
+	// no endpoint is coming, and every blocked worker here is one
+	// less worker emptying the web accept queue (the paper's
+	// amplification path from one stalled server to tier-wide
+	// connection drops). Armed probes keep polling — measuring the
+	// drained candidate is their whole purpose. Without quarantine
+	// (static runs) this branch never triggers.
+	if c.quarantined && !c.probeArmed {
+		d.acquired(false)
+		return
 	}
-	attempt()
+	// Loop guard mirrors Algorithm 1: while retry*JK_SLEEP_DEF <
+	// cache_acquire_timeout.
+	if sim.Time(d.polls)*sleep >= m.Timeout {
+		d.acquired(false)
+		return
+	}
+	if c.tryEndpoint() {
+		d.acquired(true)
+		return
+	}
+	d.polls++
+	m.eng.Schedule(sleep, d.repoll)
 }
+
+// onRepoll is the poll sleep's wake-up.
+func (d *dispatch) onRepoll() { d.poller.poll(d) }
 
 // ModifiedGetEndpoint is the paper's mechanism-level remedy (Section
 // IV-C): check once, and on failure return immediately so the balancer
@@ -101,9 +109,8 @@ func NewModifiedGetEndpoint() *ModifiedGetEndpoint { return &ModifiedGetEndpoint
 // Name implements Mechanism.
 func (*ModifiedGetEndpoint) Name() string { return "modified_get_endpoint" }
 
-// Acquire implements Mechanism.
-func (*ModifiedGetEndpoint) Acquire(c *Candidate, done func(ok bool)) {
-	done(c.tryEndpoint())
+func (*ModifiedGetEndpoint) acquire(d *dispatch) {
+	d.acquired(d.cand.tryEndpoint())
 }
 
 // MechanismByName returns the mechanism with the given name. The original

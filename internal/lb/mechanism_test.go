@@ -7,12 +7,20 @@ import (
 	"millibalance/internal/sim"
 )
 
+// acquireOn runs one acquisition on c outside a balancer, on a bare
+// dispatch record whose verdict goes to done.
+func acquireOn(m Mechanism, c *Candidate, done func(ok bool)) {
+	d := &dispatch{cand: c, acquired: done}
+	d.repoll = d.onRepoll
+	m.acquire(d)
+}
+
 func TestOriginalAcquireImmediateSuccess(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
 	m := NewOriginalGetEndpoint(eng)
 	c := newCand("app1", 1)
 	var got bool
-	m.Acquire(c, func(ok bool) { got = ok })
+	acquireOn(m, c, func(ok bool) { got = ok })
 	if !got {
 		t.Fatal("acquire with a free endpoint did not succeed synchronously")
 	}
@@ -28,7 +36,7 @@ func TestOriginalAcquirePollsThenTimesOut(t *testing.T) {
 	c.tryEndpoint() // exhaust the pool
 	var doneAt sim.Time = -1
 	var result bool
-	m.Acquire(c, func(ok bool) { result = ok; doneAt = eng.Now() })
+	acquireOn(m, c, func(ok bool) { result = ok; doneAt = eng.Now() })
 	eng.Run(time.Second)
 	if result {
 		t.Fatal("acquire succeeded with an exhausted pool")
@@ -47,7 +55,7 @@ func TestOriginalAcquirePicksUpFreedEndpoint(t *testing.T) {
 	c.tryEndpoint()
 	var doneAt sim.Time = -1
 	var result bool
-	m.Acquire(c, func(ok bool) { result = ok; doneAt = eng.Now() })
+	acquireOn(m, c, func(ok bool) { result = ok; doneAt = eng.Now() })
 	// Endpoint frees at 150ms; next poll is at 200ms.
 	eng.Schedule(150*time.Millisecond, func() { c.releaseEndpoint() })
 	eng.Run(time.Second)
@@ -64,7 +72,7 @@ func TestOriginalAcquireBlocksCallerForFullWindow(t *testing.T) {
 	m := NewOriginalGetEndpoint(eng)
 	c := newCand("app1", 1)
 	c.tryEndpoint()
-	m.Acquire(c, func(bool) {})
+	acquireOn(m, c, func(bool) {})
 	eng.Run(250 * time.Millisecond)
 	if c.State() != StateAvailable {
 		t.Fatalf("candidate state changed to %v during acquire wait", c.State())
@@ -79,7 +87,7 @@ func TestOriginalAcquireCustomTiming(t *testing.T) {
 	c := newCand("app1", 1)
 	c.tryEndpoint()
 	var doneAt sim.Time = -1
-	m.Acquire(c, func(bool) { doneAt = eng.Now() })
+	acquireOn(m, c, func(bool) { doneAt = eng.Now() })
 	eng.Run(time.Second)
 	if doneAt != 50*time.Millisecond {
 		t.Fatalf("custom timeout gave up at %v, want 50ms", doneAt)
@@ -92,7 +100,7 @@ func TestModifiedAcquireFailsFast(t *testing.T) {
 	c := newCand("app1", 1)
 	c.tryEndpoint()
 	called := false
-	m.Acquire(c, func(ok bool) {
+	acquireOn(m, c, func(ok bool) {
 		called = true
 		if ok {
 			t.Fatal("modified acquire succeeded with an exhausted pool")
@@ -110,7 +118,7 @@ func TestModifiedAcquireSucceedsWithFreeEndpoint(t *testing.T) {
 	m := NewModifiedGetEndpoint()
 	c := newCand("app1", 2)
 	got := false
-	m.Acquire(c, func(ok bool) { got = ok })
+	acquireOn(m, c, func(ok bool) { got = ok })
 	if !got || c.FreeEndpoints() != 1 {
 		t.Fatalf("ok=%v free=%d", got, c.FreeEndpoints())
 	}

@@ -127,7 +127,7 @@ func TestSetPolicyArmsMaintainer(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
 	cands := []*Candidate{NewCandidate("app1", sim.NewPool(10))}
 	bal := New(eng, TotalRequest{}, NewModifiedGetEndpoint(), cands, Config{})
-	bal.Dispatch(RequestInfo{}, func(c *Candidate, done func()) {}, func() {})
+	bal.Dispatch(RequestInfo{}, func(c *Candidate, tk Ticket) {}, func() {})
 
 	bal.SetPolicy(RecentRequest{})
 	cands[0].lbValue = 8
@@ -149,7 +149,7 @@ func TestSetMechanismAtRuntime(t *testing.T) {
 	dispatched := 0
 	rejected := 0
 	var finish func()
-	send := func(c *Candidate, done func()) { dispatched++; finish = done }
+	send := func(c *Candidate, tk Ticket) { dispatched++; finish = tk.Done }
 	submit := func() { bal.Dispatch(RequestInfo{}, send, func() { rejected++ }) }
 
 	submit() // holds the only endpoint
@@ -220,9 +220,9 @@ func TestArmProbeDispatchesExactlyOne(t *testing.T) {
 	})
 
 	dispatched := map[string]int{}
-	send := func(c *Candidate, done func()) {
+	send := func(c *Candidate, tk Ticket) {
 		dispatched[c.Name()]++
-		eng.Schedule(70*time.Millisecond, done)
+		eng.Schedule(70*time.Millisecond, tk.Done)
 	}
 	submit := func() { bal.Dispatch(RequestInfo{}, send, func() {}) }
 
@@ -262,14 +262,14 @@ func TestArmProbeFailureReportsNotOK(t *testing.T) {
 
 	// Exhaust app1's pool, then quarantine it (the in-flight request
 	// never completes — a stalled backend).
-	bal.Dispatch(RequestInfo{}, func(c *Candidate, done func()) {}, func() {})
+	bal.Dispatch(RequestInfo{}, func(c *Candidate, tk Ticket) {}, func() {})
 	bal.SetQuarantined(cands[0], true)
 	bal.ArmProbe(cands[0])
 
 	// The probe runs when app1 wins the min-lb_value scan; raise app2's
 	// so the next dispatch attempts the stalled candidate first.
 	cands[1].lbValue = 5
-	bal.Dispatch(RequestInfo{}, func(c *Candidate, done func()) {}, func() {})
+	bal.Dispatch(RequestInfo{}, func(c *Candidate, tk Ticket) {}, func() {})
 	if len(probes) != 1 || probes[0] {
 		t.Fatalf("probes = %v, want one failed probe", probes)
 	}

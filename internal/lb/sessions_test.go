@@ -78,7 +78,7 @@ func newStickyHarness(t *testing.T, endpoints int, names ...string) *harness {
 	}
 	h := &harness{
 		eng:        eng,
-		pending:    map[string][]func(){},
+		pending:    map[string][]Ticket{},
 		dispatched: map[string]int{},
 	}
 	h.bal = New(eng, TotalRequest{}, NewModifiedGetEndpoint(), cands,
@@ -88,9 +88,9 @@ func newStickyHarness(t *testing.T, endpoints int, names ...string) *harness {
 
 func (h *harness) submitSession(session uint64) {
 	h.bal.Dispatch(RequestInfo{SessionID: session},
-		func(c *Candidate, done func()) {
+		func(c *Candidate, tk Ticket) {
 			h.dispatched[c.Name()]++
-			h.pending[c.Name()] = append(h.pending[c.Name()], done)
+			h.pending[c.Name()] = append(h.pending[c.Name()], tk)
 		},
 		func() { h.rejected++ })
 }
@@ -169,9 +169,9 @@ func TestStickySessionIgnoresErrorBackend(t *testing.T) {
 func TestNoStickyWithoutConfig(t *testing.T) {
 	h := newHarness(t, TotalRequest{}, NewModifiedGetEndpoint(), 50, "app1", "app2")
 	for i := 0; i < 10; i++ {
-		h.bal.Dispatch(RequestInfo{SessionID: 1}, func(c *Candidate, done func()) {
+		h.bal.Dispatch(RequestInfo{SessionID: 1}, func(c *Candidate, tk Ticket) {
 			h.dispatched[c.Name()]++
-			done()
+			tk.Done()
 		}, func() {})
 	}
 	if h.dispatched["app1"] == 10 || h.dispatched["app2"] == 10 {

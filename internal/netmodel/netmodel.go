@@ -78,64 +78,111 @@ func (l *Listener) Accept() bool {
 	return true
 }
 
-// Retransmitter retries dropped connection attempts on a schedule.
-type Retransmitter struct {
+// Retransmitter retries dropped connection attempts on a schedule. T
+// is the connection it carries (the simulator's is a client request).
+// The attempt and give-up callbacks are fixed at construction and
+// receive the connection, and a dropped connection's retry state lives
+// in a record recycled through the retransmitter's free list once the
+// connection is admitted or given up, so sends allocate nothing in
+// steady state.
+type Retransmitter[T any] struct {
 	eng      *sim.Engine
 	schedule RetransmitSchedule
+	attempt  func(T) bool
+	giveUp   func(T)
+	free     sim.FreeList[retry[T]]
 
 	retransmits uint64
 	failures    uint64
 }
 
+// retry is one dropped connection waiting out its retransmission
+// delay; fire is its wake-up, bound once per record.
+type retry[T any] struct {
+	r     *Retransmitter[T]
+	conn  T
+	sp    *obs.Span
+	tries int
+	fire  func()
+}
+
 // NewRetransmitter returns a retransmitter using the given schedule; a
-// nil schedule uses the default.
-func NewRetransmitter(eng *sim.Engine, schedule RetransmitSchedule) *Retransmitter {
+// nil schedule uses the default. attempt reports whether a connection
+// attempt was admitted; giveUp (which may be nil) runs when a
+// connection's schedule is exhausted.
+func NewRetransmitter[T any](eng *sim.Engine, schedule RetransmitSchedule, attempt func(T) bool, giveUp func(T)) *Retransmitter[T] {
+	if attempt == nil {
+		panic("netmodel: NewRetransmitter with nil attempt")
+	}
 	if schedule == nil {
 		schedule = DefaultRetransmitSchedule()
 	}
-	return &Retransmitter{eng: eng, schedule: schedule}
+	return &Retransmitter[T]{eng: eng, schedule: schedule, attempt: attempt, giveUp: giveUp}
 }
 
 // Retransmits reports how many retry attempts have been scheduled.
-func (r *Retransmitter) Retransmits() uint64 { return r.retransmits }
+func (r *Retransmitter[T]) Retransmits() uint64 { return r.retransmits }
 
 // Failures reports how many sends exhausted the schedule and failed.
-func (r *Retransmitter) Failures() uint64 { return r.failures }
+func (r *Retransmitter[T]) Failures() uint64 { return r.failures }
 
-// Send runs attempt, which reports whether the connection was admitted.
-// On a drop it retries after the next schedule delay; when the schedule
-// is exhausted it calls onFail (which may be nil).
-func (r *Retransmitter) Send(attempt func() bool, onFail func()) {
-	r.sendFrom(nil, 0, attempt, onFail)
+// Send attempts conn now and, on each drop, again after the next
+// schedule delay; when the schedule is exhausted it gives up. sp (which
+// may be nil) records the retransmit-wait stage from the first drop
+// until the attempt that is finally admitted or the give-up — the wait
+// that stamps VLRT requests into the 1 s / 2 s / 3 s clusters.
+func (r *Retransmitter[T]) Send(conn T, sp *obs.Span) {
+	r.try(conn, sp, 0, nil)
 }
 
-// SendSpan is Send with request-lifecycle tracing: sp (which may be
-// nil) records the retransmit-wait stage from the first drop until the
-// attempt that is finally admitted or the schedule is exhausted — the
-// wait that stamps VLRT requests into the 1 s / 2 s / 3 s clusters.
-func (r *Retransmitter) SendSpan(sp *obs.Span, attempt func() bool, onFail func()) {
-	r.sendFrom(sp, 0, attempt, onFail)
-}
-
-func (r *Retransmitter) sendFrom(sp *obs.Span, tries int, attempt func() bool, onFail func()) {
-	if attempt() {
+// try runs attempt number tries+1; rec is the connection's retry
+// record, nil until its first drop.
+func (r *Retransmitter[T]) try(conn T, sp *obs.Span, tries int, rec *retry[T]) {
+	if r.attempt(conn) {
 		sp.Exit(obs.StageRetransmitWait, r.eng.Now())
+		r.retire(rec)
 		return
 	}
 	if tries >= len(r.schedule) {
 		r.failures++
 		sp.Exit(obs.StageRetransmitWait, r.eng.Now())
-		if onFail != nil {
-			onFail()
+		r.retire(rec)
+		if r.giveUp != nil {
+			r.giveUp(conn)
 		}
 		return
 	}
 	r.retransmits++
 	sp.Enter(obs.StageRetransmitWait, r.eng.Now())
-	r.eng.Schedule(r.schedule[tries], func() {
-		r.sendFrom(sp, tries+1, attempt, onFail)
-	})
+	if rec == nil {
+		rec = r.newRetry()
+		rec.conn, rec.sp = conn, sp
+	}
+	rec.tries = tries + 1
+	r.eng.Schedule(r.schedule[tries], rec.fire)
 }
+
+func (r *Retransmitter[T]) newRetry() *retry[T] {
+	if rec := r.free.Get(); rec != nil {
+		return rec
+	}
+	rec := &retry[T]{r: r}
+	rec.fire = rec.again
+	return rec
+}
+
+// retire returns a finished record (nil for a connection never
+// dropped) to the free list.
+func (r *Retransmitter[T]) retire(rec *retry[T]) {
+	if rec == nil {
+		return
+	}
+	var zero T
+	rec.conn, rec.sp = zero, nil
+	r.free.Put(rec)
+}
+
+func (rec *retry[T]) again() { rec.r.try(rec.conn, rec.sp, rec.tries, rec) }
 
 // Link is a fixed-latency network hop. Bandwidth is not modelled; the
 // paper's gigabit LAN never saturates.

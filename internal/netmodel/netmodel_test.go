@@ -94,9 +94,17 @@ func TestQuickListenerConservation(t *testing.T) {
 
 func TestRetransmitterImmediateSuccess(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
-	r := NewRetransmitter(eng, nil)
 	calls := 0
-	r.Send(func() bool { calls++; return true }, func() { t.Fatal("onFail on success") })
+	r := NewRetransmitter(eng, nil,
+		func(conn int) bool {
+			if conn != 7 {
+				t.Fatalf("attempt got connection %d, want 7", conn)
+			}
+			calls++
+			return true
+		},
+		func(int) { t.Fatal("onFail on success") })
+	r.Send(7, nil)
 	eng.Run(10 * time.Second)
 	if calls != 1 || r.Retransmits() != 0 {
 		t.Fatalf("calls=%d retransmits=%d", calls, r.Retransmits())
@@ -105,14 +113,14 @@ func TestRetransmitterImmediateSuccess(t *testing.T) {
 
 func TestRetransmitterRetriesOnSchedule(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
-	r := NewRetransmitter(eng, RetransmitSchedule{time.Second, 2 * time.Second})
 	var attemptTimes []sim.Time
 	attempts := 0
-	r.Send(func() bool {
+	r := NewRetransmitter(eng, RetransmitSchedule{time.Second, 2 * time.Second}, func(int) bool {
 		attemptTimes = append(attemptTimes, eng.Now())
 		attempts++
 		return attempts == 3 // succeed on the third attempt
 	}, nil)
+	r.Send(1, nil)
 	eng.Run(10 * time.Second)
 	want := []sim.Time{0, time.Second, 3 * time.Second}
 	if len(attemptTimes) != len(want) {
@@ -130,11 +138,19 @@ func TestRetransmitterRetriesOnSchedule(t *testing.T) {
 
 func TestRetransmitterExhaustionFails(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
-	r := NewRetransmitter(eng, RetransmitSchedule{time.Second, time.Second, time.Second})
 	attempts := 0
 	failed := false
 	var failAt sim.Time
-	r.Send(func() bool { attempts++; return false }, func() { failed = true; failAt = eng.Now() })
+	r := NewRetransmitter(eng, RetransmitSchedule{time.Second, time.Second, time.Second},
+		func(int) bool { attempts++; return false },
+		func(conn int) {
+			if conn != 3 {
+				t.Fatalf("gave up on connection %d, want 3", conn)
+			}
+			failed = true
+			failAt = eng.Now()
+		})
+	r.Send(3, nil)
 	eng.Run(10 * time.Second)
 	if attempts != 4 { // initial + 3 retries
 		t.Fatalf("attempts = %d, want 4", attempts)
@@ -149,8 +165,8 @@ func TestRetransmitterExhaustionFails(t *testing.T) {
 
 func TestRetransmitterNilOnFail(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
-	r := NewRetransmitter(eng, RetransmitSchedule{time.Millisecond})
-	r.Send(func() bool { return false }, nil)
+	r := NewRetransmitter(eng, RetransmitSchedule{time.Millisecond}, func(int) bool { return false }, nil)
+	r.Send(1, nil)
 	eng.Run(time.Second) // must not panic
 	if r.Failures() != 1 {
 		t.Fatalf("Failures = %d", r.Failures())
@@ -159,12 +175,46 @@ func TestRetransmitterNilOnFail(t *testing.T) {
 
 func TestRetransmitterEmptySchedule(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
-	r := NewRetransmitter(eng, RetransmitSchedule{})
 	failed := false
-	r.Send(func() bool { return false }, func() { failed = true })
+	r := NewRetransmitter(eng, RetransmitSchedule{}, func(int) bool { return false }, func(int) { failed = true })
+	r.Send(1, nil)
 	eng.Run(time.Second)
 	if !failed {
 		t.Fatal("empty schedule did not fail immediately")
+	}
+}
+
+// TestRetransmitterInterleavedRetries: connections dropped at the same
+// time keep their own retry state, and retired retry records are
+// reused rather than reallocated.
+func TestRetransmitterInterleavedRetries(t *testing.T) {
+	eng := sim.NewEngine(1, 2)
+	admitAt := map[int]sim.Time{1: time.Second, 2: 3 * time.Second}
+	admitted := map[int]sim.Time{}
+	r := NewRetransmitter(eng, RetransmitSchedule{time.Second, 2 * time.Second},
+		func(conn int) bool {
+			if eng.Now() < admitAt[conn] {
+				return false
+			}
+			admitted[conn] = eng.Now()
+			return true
+		},
+		func(conn int) { t.Fatalf("connection %d gave up", conn) })
+	r.Send(1, nil)
+	r.Send(2, nil)
+	eng.Run(10 * time.Second)
+	if admitted[1] != time.Second || admitted[2] != 3*time.Second {
+		t.Fatalf("admitted at %v, want 1 at 1s and 2 at 3s", admitted)
+	}
+	if r.free.Len() != 2 {
+		t.Fatalf("free list holds %d retry records, want 2", r.free.Len())
+	}
+	admitAt[3] = 11 * time.Second
+	r.Send(3, nil)
+	eng.Run(20 * time.Second)
+	if admitted[3] != 11*time.Second || r.free.Len() != 2 {
+		t.Fatalf("connection 3 admitted at %v with %d free records, want 11s and 2",
+			admitted[3], r.free.Len())
 	}
 }
 

@@ -20,8 +20,9 @@ type CPU struct {
 	eng   *sim.Engine
 	cores int
 
-	running []sim.Timer // completion timers of executing bursts
-	runq    sim.FIFO[queuedBurst]
+	running []*burst // executing bursts, in start order
+	runq    sim.FIFO[*burst]
+	free    sim.FreeList[burst]
 
 	stallUntil sim.Time
 	stallTimer sim.Timer
@@ -31,14 +32,22 @@ type CPU struct {
 	lastAccount  sim.Time
 }
 
-type queuedBurst struct {
+// burst is one submitted burst from Submit to completion. Records are
+// owned by their CPU and recycled through its free list once the
+// completion event has fired, so a steady stream of bursts allocates
+// nothing; fire is the completion callback, bound once per record.
+type burst struct {
+	cpu    *CPU
 	demand sim.Time
 	done   func()
 	// traced, when set, replaces done and additionally receives the
 	// run-queue wait and the stall-frozen share of the burst's wall
 	// time. at is the submission time (only stamped for traced bursts).
-	traced func(queued, frozen sim.Time)
-	at     sim.Time
+	traced   func(queued, frozen sim.Time)
+	at       sim.Time
+	runStart sim.Time
+	tm       sim.Timer
+	fire     func()
 }
 
 // NewCPU returns a CPU with the given core count (minimum one) attached
@@ -77,7 +86,9 @@ func (c *CPU) Submit(demand sim.Time, done func()) {
 	if done == nil {
 		panic("resource: CPU.Submit with nil completion")
 	}
-	c.submit(queuedBurst{demand: demand, done: done})
+	b := c.newBurst(demand)
+	b.done = done
+	c.submit(b)
 }
 
 // SubmitTraced is Submit for instrumented callers: done additionally
@@ -89,13 +100,27 @@ func (c *CPU) SubmitTraced(demand sim.Time, done func(queued, frozen sim.Time)) 
 	if done == nil {
 		panic("resource: CPU.SubmitTraced with nil completion")
 	}
-	c.submit(queuedBurst{demand: demand, traced: done, at: c.eng.Now()})
+	b := c.newBurst(demand)
+	b.traced = done
+	b.at = c.eng.Now()
+	c.submit(b)
 }
 
-func (c *CPU) submit(b queuedBurst) {
-	if b.demand < 0 {
-		b.demand = 0
+// newBurst takes a record from the free list, or makes one.
+func (c *CPU) newBurst(demand sim.Time) *burst {
+	b := c.free.Get()
+	if b == nil {
+		b = &burst{cpu: c}
+		b.fire = b.complete
 	}
+	if demand < 0 {
+		demand = 0
+	}
+	b.demand = demand
+	return b
+}
+
+func (c *CPU) submit(b *burst) {
 	if len(c.running) >= c.cores {
 		c.runq.Push(b)
 		return
@@ -103,24 +128,26 @@ func (c *CPU) submit(b queuedBurst) {
 	c.start(b)
 }
 
-func (c *CPU) start(b queuedBurst) {
+func (c *CPU) start(b *burst) {
 	c.account()
 	// The finish time bakes in whatever stall window is pending now;
 	// stalls that open later extend the timer via Stall.
-	finish := b.demand + c.pendingStall()
-	runStart := c.eng.Now()
-	var tm sim.Timer
-	tm = c.eng.Schedule(finish, func() { c.complete(tm, b, runStart) })
-	c.running = append(c.running, tm)
+	b.runStart = c.eng.Now()
+	b.tm = c.eng.Schedule(b.demand+c.pendingStall(), b.fire)
+	c.running = append(c.running, b)
 }
 
-func (c *CPU) complete(tm sim.Timer, b queuedBurst, runStart sim.Time) {
+// complete is a burst's completion event: it frees the core, starts the
+// next queued burst, retires the record and then runs the caller's
+// completion.
+func (b *burst) complete() {
+	c := b.cpu
 	c.account()
 	for i, r := range c.running {
-		if r == tm {
+		if r == b {
 			last := len(c.running) - 1
 			c.running[i] = c.running[last]
-			c.running[last] = sim.Timer{}
+			c.running[last] = nil
 			c.running = c.running[:last]
 			break
 		}
@@ -128,15 +155,18 @@ func (c *CPU) complete(tm sim.Timer, b queuedBurst, runStart sim.Time) {
 	if nb, ok := c.runq.Pop(); ok {
 		c.start(nb)
 	}
-	if b.traced != nil {
-		frozen := c.eng.Now() - runStart - b.demand
+	done, traced := b.done, b.traced
+	queued, frozen := b.runStart-b.at, c.eng.Now()-b.runStart-b.demand
+	*b = burst{cpu: c, fire: b.fire}
+	c.free.Put(b)
+	if traced != nil {
 		if frozen < 0 {
 			frozen = 0
 		}
-		b.traced(runStart-b.at, frozen)
+		traced(queued, frozen)
 		return
 	}
-	b.done()
+	done()
 }
 
 // pendingStall returns how much of the current stall window remains.
@@ -163,8 +193,8 @@ func (c *CPU) Stall(d sim.Time) {
 		c.stallUntil = now
 	}
 	c.stallUntil += d
-	for _, tm := range c.running {
-		c.eng.Reschedule(tm, tm.When()-now+d)
+	for _, b := range c.running {
+		c.eng.Reschedule(b.tm, b.tm.When()-now+d)
 	}
 	// Re-arm the bookkeeping event that closes the busy-integral at the
 	// end of the stall window.

@@ -9,7 +9,6 @@ package server
 import (
 	"millibalance/internal/resource"
 	"millibalance/internal/sim"
-	"millibalance/internal/workload"
 )
 
 // sampleDemand draws an actual CPU demand around the interaction's mean:
@@ -37,6 +36,19 @@ type DB struct {
 	cpu     *resource.CPU
 	workers *sim.Pool
 	served  uint64
+	free    sim.FreeList[query]
+}
+
+// query is one database query from Query to its completion. Records are
+// owned by their DB and recycled once the completion has run past its
+// last use of the record; the grant and finish callbacks are bound once
+// per record, so queries allocate nothing in steady state.
+type query struct {
+	d      *DB
+	demand sim.Time
+	done   func()
+	grant  func()
+	finish func()
 }
 
 // NewDB returns a database server.
@@ -74,45 +86,26 @@ func (d *DB) Query(meanDemand sim.Time, done func()) {
 	if done == nil {
 		panic("server: DB.Query with nil done")
 	}
-	d.workers.Acquire(func() {
-		d.cpu.Submit(sampleDemand(d.eng, meanDemand), func() {
-			d.served++
-			d.workers.Release()
-			done()
-		})
-	})
-}
-
-// queryRunner sequences an interaction's DB round trips over a
-// connection pool and a link; shared by App.
-type queryRunner struct {
-	eng   *sim.Engine
-	db    *DB
-	conns *sim.Pool
-	link  sim.Time
-}
-
-// run performs n sequential queries of the interaction and then calls
-// done. Zero queries call done synchronously.
-func (q *queryRunner) run(it *workload.Interaction, done func()) {
-	remaining := it.DBQueries
-	var next func()
-	next = func() {
-		if remaining == 0 {
-			done()
-			return
-		}
-		remaining--
-		q.conns.Acquire(func() {
-			q.eng.Schedule(q.link, func() { // request to DB
-				q.db.Query(it.DBDemand, func() {
-					q.eng.Schedule(q.link, func() { // response back
-						q.conns.Release()
-						next()
-					})
-				})
-			})
-		})
+	q := d.free.Get()
+	if q == nil {
+		q = &query{d: d}
+		q.grant, q.finish = q.granted, q.finished
 	}
-	next()
+	q.demand, q.done = meanDemand, done
+	d.workers.Acquire(q.grant)
+}
+
+// granted runs once the query holds a worker thread.
+func (q *query) granted() {
+	q.d.cpu.Submit(sampleDemand(q.d.eng, q.demand), q.finish)
+}
+
+// finished runs when the query's CPU burst completes.
+func (q *query) finished() {
+	d, done := q.d, q.done
+	d.served++
+	d.workers.Release()
+	q.done = nil
+	d.free.Put(q)
+	done()
 }

@@ -396,7 +396,7 @@ func TestQuickWebConservation(t *testing.T) {
 			at := sim.Time(i) * sim.Time(gap%50) * 100 * time.Microsecond
 			eng.At(at, func() {
 				req := workload.NewRequest(uint64(i), 0, testInteraction(), eng.Now(),
-					func(workload.Outcome) { finished++ })
+					func(*workload.Request, workload.Outcome) { finished++ })
 				if web.TryAccept(req) {
 					admitted++
 				} else {

@@ -75,6 +75,28 @@ type Web struct {
 	served uint64
 	errors uint64
 	sheds  uint64
+	free   sim.FreeList[webCall]
+}
+
+// webCall is one request's stay in a web server, from TryAccept to its
+// response or shed: the accept backlog or admission-queue wait, the CPU
+// burst, the balancer dispatch, and the link hops around the app tier.
+// Records are owned by their Web and recycled after the last event that
+// touches them; every callback they hand to the listener, the admission
+// queue, the CPU, the balancer, the engine and the app server is a
+// method value bound once when the record is created, so a request
+// allocates nothing here in steady state.
+type webCall struct {
+	w      *Web
+	req    *workload.Request
+	start  sim.Time // start of the traced CPU burst
+	app    *App
+	ticket lb.Ticket
+
+	onHandle, onCPU, onAtApp, onAppDone, onBack, onReject, onShed func()
+	onTracedCPU                                                   func(queued, frozen sim.Time)
+	onSend                                                        func(*lb.Candidate, lb.Ticket)
+	onAdmit                                                       func(admitted bool)
 }
 
 // NewWeb returns a web server balancing across the given application
@@ -169,15 +191,21 @@ func (w *Web) ActiveWorkers() int { return w.workers.InUse() }
 // runs first: refused requests are shed with an error response (they
 // report true — an explicit refusal, not a dropped SYN).
 func (w *Web) TryAccept(req *workload.Request) bool {
+	r := w.newCall(req)
 	if w.adm == nil {
-		return w.accept(req)
+		if w.accept(r) {
+			return true
+		}
+		w.retire(r)
+		return false
 	}
 	cls := w.classify(req)
 	if w.adm.TryAcquire(cls) {
-		if w.accept(req) {
+		if w.accept(r) {
 			req.AdmittedAt = w.eng.Now()
 			return true
 		}
+		w.retire(r)
 		w.adm.Cancel()
 		return false
 	}
@@ -185,115 +213,162 @@ func (w *Web) TryAccept(req *workload.Request) bool {
 	if cls == admission.Background {
 		// Background never queues: no headroom means shed now.
 		w.adm.Drop(now, cls, admission.ReasonPriority)
-		w.shed(req)
+		w.shed(r)
 		return true
 	}
-	if w.admQ.Push(cls, func(admitted bool) { w.resumeQueued(req, admitted) }) {
+	if w.admQ.Push(cls, r.onAdmit) {
 		req.Span.Enter(obs.StageWebAcceptQueue, now)
 		return true
 	}
 	w.adm.Drop(now, cls, admission.ReasonQueueFull)
-	w.shed(req)
+	w.shed(r)
 	return true
 }
 
+// newCall takes a record from the free list, or makes one and binds its
+// callbacks.
+func (w *Web) newCall(req *workload.Request) *webCall {
+	r := w.free.Get()
+	if r == nil {
+		r = &webCall{w: w}
+		r.onHandle = r.handle
+		r.onCPU = r.cpuDone
+		r.onTracedCPU = r.tracedCPUDone
+		r.onSend = r.send
+		r.onReject = r.rejected
+		r.onAtApp = r.atApp
+		r.onAppDone = r.appDone
+		r.onBack = r.back
+		r.onAdmit = r.admitted
+		r.onShed = r.shedDone
+	}
+	r.req = req
+	return r
+}
+
+// retire returns a finished record to the free list.
+func (w *Web) retire(r *webCall) {
+	r.req, r.app, r.ticket = nil, nil, lb.Ticket{}
+	w.free.Put(r)
+}
+
 // accept places a request on a worker or the accept backlog — the
-// admission-free path.
-func (w *Web) accept(req *workload.Request) bool {
+// admission-free path. On false the caller still owns r.
+func (w *Web) accept(r *webCall) bool {
 	if w.workers.TryAcquire() {
-		w.handle(req)
+		r.handle()
 		return true
 	}
-	if w.listener.Offer(func() { w.handle(req) }) {
-		req.Span.Enter(obs.StageWebAcceptQueue, w.eng.Now())
+	if w.listener.Offer(r.onHandle) {
+		r.req.Span.Enter(obs.StageWebAcceptQueue, w.eng.Now())
 		return true
 	}
 	return false
 }
 
-// resumeQueued completes an admission-queue wait: the queue either
-// handed the request a concurrency slot or shed it (MaxWait or CoDel,
-// already recorded by the queue).
-func (w *Web) resumeQueued(req *workload.Request, admitted bool) {
-	if !admitted {
-		w.shed(req)
+// admitted completes an admission-queue wait: the queue either handed
+// the request a concurrency slot or shed it (MaxWait or CoDel, already
+// recorded by the queue).
+func (r *webCall) admitted(ok bool) {
+	w := r.w
+	if !ok {
+		w.shed(r)
 		return
 	}
-	req.AdmittedAt = w.eng.Now()
-	if !w.accept(req) {
+	r.req.AdmittedAt = w.eng.Now()
+	if !w.accept(r) {
 		// Workers and backlog both full even though the limiter let us
 		// through — shed rather than queue a second time.
 		w.adm.Cancel()
 		w.adm.Drop(w.eng.Now(), admission.Interactive, admission.ReasonQueueFull)
-		w.shed(req)
+		w.shed(r)
 	}
 }
 
 // shed answers a request the admission plane refused. The refusal is
 // an immediate error response; the finish is deferred one engine event
 // so the caller's span bookkeeping (retransmit-wait exit) lands first.
-func (w *Web) shed(req *workload.Request) {
+func (w *Web) shed(r *webCall) {
 	w.sheds++
-	req.Span.Exit(obs.StageWebAcceptQueue, w.eng.Now())
-	w.eng.Schedule(0, func() {
-		req.Web = w.name
-		req.Finish(workload.Outcome{
-			OK:           false,
-			ResponseTime: w.eng.Now() - req.IssuedAt,
-			Retransmits:  req.Retransmits,
-		})
+	r.req.Span.Exit(obs.StageWebAcceptQueue, w.eng.Now())
+	w.eng.Schedule(0, r.onShed)
+}
+
+func (r *webCall) shedDone() {
+	w, req := r.w, r.req
+	w.retire(r)
+	req.Web = w.name
+	req.Finish(workload.Outcome{
+		OK:           false,
+		ResponseTime: w.eng.Now() - req.IssuedAt,
+		Retransmits:  req.Retransmits,
 	})
 }
 
 // handle runs with a worker token held.
-func (w *Web) handle(req *workload.Request) {
+func (r *webCall) handle() {
+	w, req := r.w, r.req
 	sp := req.Span
 	sp.Exit(obs.StageWebAcceptQueue, w.eng.Now())
 	sp.Enter(obs.StageWebThread, w.eng.Now())
-	it := req.Interaction
-	afterCPU := func() {
-		info := lb.RequestInfo{
-			RequestBytes:  it.RequestBytes,
-			ResponseBytes: it.ResponseBytes,
-			// Session identity (ignored unless the balancer has sticky
-			// sessions enabled); +1 keeps client 0 distinguishable from
-			// "no session".
-			SessionID: uint64(req.ClientID) + 1,
-			Span:      sp,
-		}
-		w.balancer.Dispatch(info,
-			func(c *lb.Candidate, done func()) {
-				req.Backend = c.Name()
-				app := w.apps[c.Name()]
-				sp.Add(obs.StageLink, 2*w.link) // forward + response hops
-				w.eng.Schedule(w.link, func() { // forward to the app tier
-					app.Handle(it, sp, func() {
-						w.eng.Schedule(w.link, func() { // response back
-							done()
-							w.respond(req, true)
-						})
-					})
-				})
-			},
-			func() { w.respond(req, false) })
-	}
-	demand := sampleDemand(w.eng, it.WebDemand)
+	demand := sampleDemand(w.eng, req.Interaction.WebDemand)
 	if sp == nil {
-		w.cpu.Submit(demand, afterCPU)
+		w.cpu.Submit(demand, r.onCPU)
 		return
 	}
-	start := w.eng.Now()
-	w.cpu.SubmitTraced(demand, func(_, frozen sim.Time) {
-		sp.Add(obs.StageWebCPU, w.eng.Now()-start-frozen)
-		sp.Add(obs.StageStallFrozen, frozen)
-		afterCPU()
-	})
+	r.start = w.eng.Now()
+	w.cpu.SubmitTraced(demand, r.onTracedCPU)
 }
 
-// respond finishes the request toward the client and frees (or hands
-// over) the worker thread.
-func (w *Web) respond(req *workload.Request, ok bool) {
-	req.Span.Exit(obs.StageWebThread, w.eng.Now())
+func (r *webCall) tracedCPUDone(_, frozen sim.Time) {
+	sp := r.req.Span
+	sp.Add(obs.StageWebCPU, r.w.eng.Now()-r.start-frozen)
+	sp.Add(obs.StageStallFrozen, frozen)
+	r.cpuDone()
+}
+
+// cpuDone hands the request to the balancer once its CPU burst is done.
+func (r *webCall) cpuDone() {
+	req := r.req
+	it := req.Interaction
+	r.w.balancer.Dispatch(lb.RequestInfo{
+		RequestBytes:  it.RequestBytes,
+		ResponseBytes: it.ResponseBytes,
+		// Session identity (ignored unless the balancer has sticky
+		// sessions enabled); +1 keeps client 0 distinguishable from
+		// "no session".
+		SessionID: uint64(req.ClientID) + 1,
+		Span:      req.Span,
+	}, r.onSend, r.onReject)
+}
+
+// send forwards the request to the chosen app server.
+func (r *webCall) send(c *lb.Candidate, t lb.Ticket) {
+	w := r.w
+	r.req.Backend = c.Name()
+	r.app = w.apps[c.Name()]
+	r.ticket = t
+	r.req.Span.Add(obs.StageLink, 2*w.link) // forward + response hops
+	w.eng.Schedule(w.link, r.onAtApp)       // forward to the app tier
+}
+
+func (r *webCall) atApp()   { r.app.Handle(r.req.Interaction, r.req.Span, r.onAppDone) }
+func (r *webCall) appDone() { r.w.eng.Schedule(r.w.link, r.onBack) } // response back
+
+func (r *webCall) back() {
+	r.ticket.Done()
+	r.w.respond(r, true)
+}
+
+func (r *webCall) rejected() { r.w.respond(r, false) }
+
+// respond finishes the request toward the client, frees (or hands
+// over) the worker thread and retires the record.
+func (w *Web) respond(r *webCall, ok bool) {
+	req := r.req
+	w.retire(r)
+	now := w.eng.Now()
+	req.Span.Exit(obs.StageWebThread, now)
 	req.Web = w.name
 	if ok {
 		w.served++
@@ -303,9 +378,12 @@ func (w *Web) respond(req *workload.Request, ok bool) {
 	if w.logBytes > 0 {
 		w.wb.AddDirty(w.logBytes)
 	}
+	// The admit→respond time is read before Finish: the request belongs
+	// to its client once finished.
+	rtt := now - req.AdmittedAt
 	req.Finish(workload.Outcome{
 		OK:           ok,
-		ResponseTime: w.eng.Now() - req.IssuedAt,
+		ResponseTime: now - req.IssuedAt,
 		Retransmits:  req.Retransmits,
 	})
 	// Hand the worker token to the oldest backlogged connection, if
@@ -318,6 +396,6 @@ func (w *Web) respond(req *workload.Request, ok bool) {
 	// settled; the release feeds the observed admit→respond time to
 	// the adaptive limiter.
 	if w.adm != nil {
-		w.adm.Release(w.eng.Now(), w.eng.Now()-req.AdmittedAt, ok)
+		w.adm.Release(now, rtt, ok)
 	}
 }

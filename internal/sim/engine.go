@@ -66,7 +66,7 @@ func (t Timer) Stopped() bool { return t.n == nil || t.gen != t.n.gen || t.n.ind
 type Engine struct {
 	now    Time
 	heap   []*timerNode
-	free   []*timerNode
+	free   FreeList[timerNode]
 	seq    uint64
 	rng    *rand.Rand
 	fired  uint64
@@ -202,10 +202,7 @@ func (e *Engine) Halted() bool { return e.halted }
 // alloc pops a retired node from the free list, or makes a new one. The
 // free-list order is deterministic (LIFO), preserving exact replay.
 func (e *Engine) alloc() *timerNode {
-	if k := len(e.free) - 1; k >= 0 {
-		n := e.free[k]
-		e.free[k] = nil
-		e.free = e.free[:k]
+	if n := e.free.Get(); n != nil {
 		return n
 	}
 	return &timerNode{}
@@ -217,7 +214,7 @@ func (e *Engine) recycle(n *timerNode) {
 	n.fn = nil
 	n.index = -1
 	n.gen++
-	e.free = append(e.free, n)
+	e.free.Put(n)
 }
 
 // The heap below is a hand-inlined binary min-heap ordered by (at, seq),

@@ -146,3 +146,31 @@ func (p *Pool) Resize(capacity int) {
 		grant()
 	}
 }
+
+// FreeList is a LIFO stack of retired records awaiting reuse. The
+// engine's timer nodes and the request path's per-owner records recycle
+// through it instead of a sync.Pool: reuse order stays deterministic,
+// and no record is shared between engines or dropped by a garbage
+// collection. The zero value is an empty list ready for use.
+type FreeList[T any] struct {
+	items []*T
+}
+
+// Get pops the most recently retired record, or returns nil when the
+// list is empty.
+func (f *FreeList[T]) Get() *T {
+	k := len(f.items) - 1
+	if k < 0 {
+		return nil
+	}
+	x := f.items[k]
+	f.items[k] = nil
+	f.items = f.items[:k]
+	return x
+}
+
+// Put retires x for reuse.
+func (f *FreeList[T]) Put(x *T) { f.items = append(f.items, x) }
+
+// Len reports how many retired records are waiting.
+func (f *FreeList[T]) Len() int { return len(f.items) }

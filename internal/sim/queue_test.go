@@ -263,3 +263,22 @@ func TestQuickPoolConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestFreeListLIFO(t *testing.T) {
+	var f FreeList[int]
+	if f.Get() != nil || f.Len() != 0 {
+		t.Fatal("zero free list is not empty")
+	}
+	a, b := new(int), new(int)
+	f.Put(a)
+	f.Put(b)
+	if f.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", f.Len())
+	}
+	if f.Get() != b || f.Get() != a {
+		t.Fatal("free list does not hand back the most recently retired record first")
+	}
+	if f.Get() != nil || f.Len() != 0 {
+		t.Fatal("drained free list is not empty")
+	}
+}

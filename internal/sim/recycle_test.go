@@ -92,7 +92,7 @@ func TestFreeListReuse(t *testing.T) {
 			t.Fatal("Step returned false with a pending timer")
 		}
 	}
-	if got := len(e.free); got != 1 {
+	if got := e.free.Len(); got != 1 {
 		t.Fatalf("free list holds %d nodes after serial churn, want 1", got)
 	}
 	if e.Fired() != 10000 {

@@ -42,14 +42,15 @@ type Request struct {
 	// travels through the tiers. Nil when tracing is disabled.
 	Span *obs.Span
 
-	done     func(Outcome)
+	done     func(*Request, Outcome)
 	finished bool
 }
 
 // NewRequest builds a standalone request outside a client Group, for
-// tests and direct library use. done may be nil; Finish then only marks
-// completion.
-func NewRequest(id uint64, clientID int, it *Interaction, issuedAt sim.Time, done func(Outcome)) *Request {
+// tests and direct library use. done receives the request with its
+// outcome, so a long-lived callback serves every request; it may be
+// nil, and Finish then only marks completion.
+func NewRequest(id uint64, clientID int, it *Interaction, issuedAt sim.Time, done func(*Request, Outcome)) *Request {
 	return &Request{ID: id, ClientID: clientID, Interaction: it, IssuedAt: issuedAt, done: done}
 }
 
@@ -61,7 +62,7 @@ func (r *Request) Finish(o Outcome) {
 	}
 	r.finished = true
 	if r.done != nil {
-		r.done(o)
+		r.done(r, o)
 	}
 }
 
@@ -115,6 +116,7 @@ type Group struct {
 	eng    *sim.Engine
 	cfg    ClientConfig
 	submit SubmitFunc
+	finish func(*Request, Outcome) // g.finished, bound once
 
 	clients []*client
 	nextID  uint64
@@ -125,6 +127,10 @@ type Group struct {
 type client struct {
 	id  int
 	nav *Navigator
+	g   *Group
+	// next issues the client's next request: c.issue bound once, in
+	// Start, and scheduled at the end of every think time.
+	next func()
 }
 
 // NewGroup creates n clients. The submit function must be non-nil; the
@@ -140,9 +146,10 @@ func NewGroup(eng *sim.Engine, n int, cfg ClientConfig, submit SubmitFunc) *Grou
 		cfg.FollowProb = 0.5
 	}
 	g := &Group{eng: eng, cfg: cfg, submit: submit}
-	byName := indexMix(cfg.Mix)
+	g.finish = g.finished
+	succ := successorIndex(cfg.Mix)
 	for i := 0; i < n; i++ {
-		g.clients = append(g.clients, &client{id: i, nav: newNavigator(eng, cfg.Mix, cfg.FollowProb, byName)})
+		g.clients = append(g.clients, &client{id: i, g: g, nav: newNavigator(eng, cfg.Mix, cfg.FollowProb, succ)})
 	}
 	return g
 }
@@ -158,9 +165,9 @@ func (g *Group) Issued() uint64 { return g.issued }
 // request.
 func (g *Group) Start() {
 	for _, c := range g.clients {
-		c := c
+		c.next = c.issue
 		ramp := g.eng.Uniform(0, g.thinkNow())
-		g.eng.Schedule(ramp, func() { g.issue(c) })
+		g.eng.Schedule(ramp, c.next)
 	}
 }
 
@@ -178,24 +185,27 @@ func (g *Group) thinkNow() sim.Time {
 	return think
 }
 
-func (g *Group) issue(c *client) {
+func (c *client) issue() {
+	g := c.g
 	if g.stopped {
 		return
 	}
 	g.nextID++
 	g.issued++
-	var req *Request
-	req = &Request{
+	g.submit(&Request{
 		ID:          g.nextID,
 		ClientID:    c.id,
 		Interaction: c.nav.Next(),
 		IssuedAt:    g.eng.Now(),
-		done: func(o Outcome) {
-			if g.cfg.OnOutcome != nil {
-				g.cfg.OnOutcome(req, o)
-			}
-			g.eng.Schedule(g.eng.Exponential(g.thinkNow()), func() { g.issue(c) })
-		},
+		done:        g.finish,
+	})
+}
+
+// finished observes a request's outcome and starts its client's think
+// time.
+func (g *Group) finished(req *Request, o Outcome) {
+	if g.cfg.OnOutcome != nil {
+		g.cfg.OnOutcome(req, o)
 	}
-	g.submit(req)
+	g.eng.Schedule(g.eng.Exponential(g.thinkNow()), g.clients[req.ClientID].next)
 }

@@ -44,41 +44,51 @@ type Navigator struct {
 	eng        *sim.Engine
 	mix        Mix
 	followProb float64
-	byName     map[string]int
-	cur        int // -1 before the first step
+	succ       [][]int // per mix index, the mix indices of its successors
+	cur        int     // -1 before the first step
 }
 
 // NewNavigator returns a navigator over the mix. followProb is clamped
 // to [0, 1].
 func NewNavigator(eng *sim.Engine, mix Mix, followProb float64) *Navigator {
-	return newNavigator(eng, mix, followProb, indexMix(mix))
+	return newNavigator(eng, mix, followProb, successorIndex(mix))
 }
 
-// indexMix builds the name index for a mix; Group builds it once and
-// shares it across tens of thousands of client navigators.
-func indexMix(mix Mix) map[string]int {
+// successorIndex resolves each interaction's natural successors to mix
+// indices, in the order successors lists them, dropping those absent
+// from the mix. Group builds it once and shares it across tens of
+// thousands of client navigators.
+func successorIndex(mix Mix) [][]int {
 	byName := make(map[string]int, len(mix.Interactions))
 	for i, it := range mix.Interactions {
 		byName[it.Name] = i
 	}
-	return byName
+	succ := make([][]int, len(mix.Interactions))
+	for i, it := range mix.Interactions {
+		for _, s := range successors[it.Name] {
+			if idx, ok := byName[s]; ok {
+				succ[i] = append(succ[i], idx)
+			}
+		}
+	}
+	return succ
 }
 
-func newNavigator(eng *sim.Engine, mix Mix, followProb float64, byName map[string]int) *Navigator {
+func newNavigator(eng *sim.Engine, mix Mix, followProb float64, succ [][]int) *Navigator {
 	if followProb < 0 {
 		followProb = 0
 	}
 	if followProb > 1 {
 		followProb = 1
 	}
-	return &Navigator{eng: eng, mix: mix, followProb: followProb, byName: byName, cur: -1}
+	return &Navigator{eng: eng, mix: mix, followProb: followProb, succ: succ, cur: -1}
 }
 
 // Next advances the chain and returns the next interaction to issue.
 func (n *Navigator) Next() *Interaction {
 	next := -1
 	if n.cur >= 0 && n.eng.Bernoulli(n.followProb) {
-		next = n.pickSuccessor(n.mix.Interactions[n.cur].Name)
+		next = n.pickSuccessor()
 	}
 	if next < 0 {
 		next = n.eng.PickWeighted(n.mix.Weights)
@@ -88,14 +98,9 @@ func (n *Navigator) Next() *Interaction {
 }
 
 // pickSuccessor returns the index of a uniformly chosen natural successor
-// that exists in the mix, or -1 when none do.
-func (n *Navigator) pickSuccessor(name string) int {
-	var candidates []int
-	for _, s := range successors[name] {
-		if idx, ok := n.byName[s]; ok {
-			candidates = append(candidates, idx)
-		}
-	}
+// of the current interaction that exists in the mix, or -1 when none do.
+func (n *Navigator) pickSuccessor() int {
+	candidates := n.succ[n.cur]
 	if len(candidates) == 0 {
 		return -1
 	}

@@ -33,6 +33,9 @@ type OpenLoop struct {
 	cfg    OpenLoopConfig
 	submit SubmitFunc
 	nav    *Navigator
+	// fire and finish are o.arrive and o.finished, bound once.
+	fire   func()
+	finish func(*Request, Outcome)
 
 	timer   sim.Timer
 	started bool
@@ -59,12 +62,14 @@ func NewOpenLoop(eng *sim.Engine, cfg OpenLoopConfig, submit SubmitFunc) *OpenLo
 	if cfg.Clients < 1 {
 		cfg.Clients = 1
 	}
-	return &OpenLoop{
+	o := &OpenLoop{
 		eng:    eng,
 		cfg:    cfg,
 		submit: submit,
 		nav:    NewNavigator(eng, cfg.Mix, cfg.FollowProb),
 	}
+	o.fire, o.finish = o.arrive, o.finished
+	return o
 }
 
 // Issued reports how many requests have been issued.
@@ -91,24 +96,26 @@ func (o *OpenLoop) interarrival() sim.Time {
 }
 
 func (o *OpenLoop) arm() {
-	o.timer = o.eng.Schedule(o.interarrival(), func() {
-		if o.stopped {
-			return
-		}
-		o.issue()
-		o.arm()
-	})
+	o.timer = o.eng.Schedule(o.interarrival(), o.fire)
+}
+
+// arrive is one arrival event: issue a request and arm the next arrival.
+func (o *OpenLoop) arrive() {
+	if o.stopped {
+		return
+	}
+	o.issue()
+	o.arm()
 }
 
 func (o *OpenLoop) issue() {
 	o.nextID++
 	o.issued++
-	var req *Request
-	req = NewRequest(o.nextID, int((o.nextID-1)%uint64(o.cfg.Clients)), o.nav.Next(), o.eng.Now(),
-		func(out Outcome) {
-			if o.cfg.OnOutcome != nil {
-				o.cfg.OnOutcome(req, out)
-			}
-		})
-	o.submit(req)
+	o.submit(NewRequest(o.nextID, int((o.nextID-1)%uint64(o.cfg.Clients)), o.nav.Next(), o.eng.Now(), o.finish))
+}
+
+func (o *OpenLoop) finished(req *Request, out Outcome) {
+	if o.cfg.OnOutcome != nil {
+		o.cfg.OnOutcome(req, out)
+	}
 }

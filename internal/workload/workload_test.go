@@ -183,7 +183,7 @@ func TestSuccessorNamesExist(t *testing.T) {
 
 func TestRequestFinishOnce(t *testing.T) {
 	called := 0
-	r := &Request{done: func(Outcome) { called++ }}
+	r := &Request{done: func(*Request, Outcome) { called++ }}
 	r.Finish(Outcome{OK: true})
 	if called != 1 || !r.Finished() {
 		t.Fatalf("called=%d finished=%v", called, r.Finished())
